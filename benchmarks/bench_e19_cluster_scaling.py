@@ -21,6 +21,11 @@ make the sharded runner usable:
   (compute / serialize / exchange / barrier-wait) are emitted into the
   gated BENCH JSON, so an exchange-path regression shows up as a
   ``stage_overhead_ratio`` move even on hosts where wall-clock cannot.
+* **Compile stays small beside simulation** — the cold
+  ``ClusterApplication.prepare()`` (expansion, mapping passes, SDRAM
+  packing, shard-by-board decode) is timed on its own as ``prepare_s``
+  and gated as ``prepare_to_sim_ratio``: prepare seconds per second of
+  the serial 80 ms run, a same-host ratio.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import FixedProbabilityConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
+from repro.profile import perf_now
 from repro.runtime.application import NeuralApplication
 from repro.runtime.boot import BootController
 
@@ -129,6 +135,9 @@ def test_e19_cluster_scaling(benchmark):
         max_neurons_per_core=NEURONS_PER_CORE,
         placement_strategy="round-robin", account_transport=True,
         profile=True)
+    began = perf_now()
+    cluster.prepare()
+    prepare_s = perf_now() - began
     sharded = cluster.run(EQUIV_MS, workers=1)
     _assert_spike_equivalence(unsharded, sharded)
     assert cluster.n_boards == BOARDS_X * BOARDS_Y
@@ -185,6 +194,9 @@ def test_e19_cluster_scaling(benchmark):
         "barrier_wait_s": stage_totals["barrier_wait"],
         "parent_exchange_s": pooled_report.parent_exchange_s,
         "stage_overhead_ratio": stage_overhead_ratio,
+        "prepare_s": prepare_s,
+        "prepare_to_sim_ratio": (prepare_s / serial_report.wall_s
+                                 if serial_report.wall_s > 0 else 0.0),
         "exchange_segment_bytes": pooled_report.exchange_segment_bytes,
         "host_cpus": os.cpu_count() or 1,
     }

@@ -72,9 +72,15 @@ KEY_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
     # (worker seconds spent serialising/exchanging/waiting per second of
     # compute).  The ratio is scheduler-sensitive, so it carries a loose
     # per-metric tolerance instead of the gate-wide one.
+    # prepare_to_sim_ratio is the cold prepare's seconds per second of
+    # the serial run, both on the same host; its tolerance covers the
+    # 0.50-0.62 spread of three runs on one 2-vCPU host and still
+    # catches the compile path growing by half.
     "e19": (GatedMetric("speedup_bound"),
             GatedMetric("stage_overhead_ratio", higher_is_better=False,
-                        tolerance=1.5)),
+                        tolerance=1.5),
+            GatedMetric("prepare_to_sim_ratio", higher_is_better=False,
+                        tolerance=0.5)),
     # e20 gates the fused engine's serial per-tick compute ratio over
     # the per-core reference (jitter-suppressed best-of-rounds, so the
     # default tolerance holds) and its bit-identity verdict, whose 1.0

@@ -29,6 +29,8 @@ from repro.mapping.routing_generator import RoutingSummary
 from repro.mapping.synaptic_matrix import CoreSynapticData
 from repro.neuron.engine import CSRMatrix
 from repro.neuron.network import Network, expand_projections
+from repro.neuron.population import expansion_rng
+from repro.profile import ProfileRegistry
 from repro.router.fabric import RouteProgram
 from repro.router.routing_table import RoutingEntry
 
@@ -314,6 +316,11 @@ class MappingContext:
     #: route pass clears every chip before installing (the legacy
     #: full-migration behaviour).
     assume_stale_tables: bool = False
+    #: The registry the connectivity expansion reports to, as stage
+    #: ``expand`` nested under the pass that first needs the reach map
+    #: (the pipeline passes its own always-enabled one).
+    profile: ProfileRegistry = field(default_factory=ProfileRegistry,
+                                     repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Artifacts (filled in by the passes)
@@ -329,8 +336,8 @@ class MappingContext:
         default_factory=dict)
     #: Packed synaptic blocks, placement-independent:
     #: ``(projection index, source vertex, target vertex) ->
-    #: (packed_rows, row_lengths, stride_words, n_synapses)``.
-    blocks: Dict[Tuple[int, Vertex, Vertex], Tuple] = field(
+    #: (n_rows, stride_words)`` uint32 array (:meth:`CSRMatrix.pack_block`).
+    blocks: Dict[Tuple[int, Vertex, Vertex], np.ndarray] = field(
         default_factory=dict)
     core_data: Dict[Tuple[ChipCoordinate, int], CoreSynapticData] = field(
         default_factory=dict)
@@ -448,8 +455,9 @@ class MappingContext:
         self.blocks.clear()
         self.reach_rebuilt = True
         reach: Dict[int, Dict[Vertex, Dict[Vertex, None]]] = {}
-        expanded = expand_projections(self.network, self.expansion_seed,
-                                      compile_csr=True)
+        with self.profile.stage("expand"):
+            expanded = expand_projections(self.network, self.expansion_seed,
+                                          compile_csr=True)
         for proj_index, projection, _rows, csr in expanded:
             sources = self.partition[projection.pre.label]
             targets = self.partition[projection.post.label]
@@ -496,7 +504,7 @@ class MappingContext:
         return feeders
 
     def packed_block(self, proj_index: int, source: Vertex,
-                     target: Vertex) -> Tuple:
+                     target: Vertex) -> np.ndarray:
         """The packed SDRAM block of one (projection, source, target) edge.
 
         Placement-independent and cached: a re-map that moves either
@@ -505,14 +513,12 @@ class MappingContext:
         cache_key = (proj_index, source, target)
         cached = self.blocks.get(cache_key)
         if cached is None:
-            from repro.mapping.synaptic_matrix import pack_block
-            from repro.neuron.population import expansion_rng
             projection = self.network.projections[proj_index]
             csr = projection.compile_csr(
                 expansion_rng(self.expansion_seed, proj_index),
                 seed=self.expansion_seed)
-            block = csr.submatrix(source.slice_start, source.slice_stop,
-                                  target.slice_start, target.slice_stop)
-            cached = pack_block(block)
+            cached = csr.submatrix(source.slice_start, source.slice_stop,
+                                   target.slice_start,
+                                   target.slice_stop).pack_block()
             self.blocks[cache_key] = cached
         return cached

@@ -44,6 +44,7 @@ from repro.mapping.placement import Placer, Vertex
 from repro.mapping.routing_generator import RoutingTableGenerator
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
+    decode_block,
     write_packed_block,
 )
 from repro.router.fabric import compile_route
@@ -462,10 +463,8 @@ class BuildSynapticMatricesPass(MappingPass):
     @staticmethod
     def _write(ctx: MappingContext, chip, data: CoreSynapticData,
                proj_index: int, source: Vertex, target: Vertex) -> None:
-        packed_rows, row_lengths, stride, _n = ctx.packed_block(
-            proj_index, source, target)
         write_packed_block(chip, data, ctx.keys.key_space(source), source,
-                           packed_rows, row_lengths, stride)
+                           ctx.packed_block(proj_index, source, target))
 
 
 class CompileTransportPass(MappingPass):
@@ -591,17 +590,10 @@ class ShardByBoardPass(MappingPass):
         yields ``None`` (the shard counts unmatched packets, exactly as
         the fabric transport does).
         """
-        from repro.neuron.engine import CSRMatrix
-        data = ctx.core_data[slot]
-        entry = data.population_table.entry_for(key)
+        entry = ctx.core_data[slot].population_table.entry_for(key)
         if entry is None:
             return None
-        chip = ctx.machine.chips[slot[0]]
-        stride = entry.row_stride_words
-        packed = [chip.sdram.peek_block(
-            entry.sdram_address + 4 * row * stride, stride)
-            for row in range(entry.n_rows)]
-        return CSRMatrix.from_packed_rows(packed, n_post=n_post)
+        return decode_block(ctx.machine.chips[slot[0]].sdram, entry, n_post)
 
 
 #: The canonical pass order of the mapping compiler.

@@ -75,6 +75,13 @@ class MappingPipeline:
                  compile_transport: bool = False,
                  shard_by_board: bool = False,
                  minimise: bool = True) -> None:
+        # Always-enabled: PassRecord timings and the compile report need
+        # per-pass seconds regardless of REPRO_PROFILE.  Passes nest
+        # under one "pass_total" stage, so flatten() yields both
+        # profile_pass_total_s and a profile_<pass>_s per pass; the
+        # connectivity expansion nests as "expand" under the pass that
+        # triggers it, so that pass's self time excludes it.
+        self.profile = ProfileRegistry(enabled=True)
         self.ctx = MappingContext(
             machine=machine, network=network, seed=seed,
             expansion_seed=(seed if expansion_seed is _UNSET
@@ -84,15 +91,11 @@ class MappingPipeline:
             broadcast_routing=broadcast_routing,
             compile_transport=compile_transport,
             shard_by_board=shard_by_board,
-            minimise=minimise)
+            minimise=minimise,
+            profile=self.profile)
         self.passes: List[MappingPass] = [cls() for cls in DEFAULT_PASSES]
         self.records: Dict[str, PassRecord] = {
             p.name: PassRecord() for p in self.passes}
-        # Always-enabled: PassRecord timings and the compile report need
-        # per-pass seconds regardless of REPRO_PROFILE.  Passes nest
-        # under one "pass_total" stage, so flatten() yields both
-        # profile_pass_total_s and a profile_<pass>_s per pass.
-        self.profile = ProfileRegistry(enabled=True)
         self._pass_total_stage = self.profile.stage("pass_total")
         self._pass_stages = {p.name: self.profile.stage(p.name)
                              for p in self.passes}

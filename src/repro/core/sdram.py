@@ -7,8 +7,10 @@ into its local data memory (Section 5.3).
 
 The model tracks:
 
-* a word-addressable backing store (a Python dict, so a 128 Mbyte address
-  space costs memory only for the words actually written);
+* a word-addressable backing store of fixed-size ``uint32`` pages, each
+  created on its first write, so a 128 Mbyte address space costs memory
+  only for the pages actually written and block transfers are array
+  slice copies;
 * an access-time model — fixed latency plus a per-byte transfer cost — used
   by the DMA controller;
 * contention: the memory interface serves one burst at a time, so
@@ -18,7 +20,9 @@ The model tracks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 #: Default SDRAM size: 1 Gbit = 128 Mbyte.
 DEFAULT_SDRAM_BYTES = 128 * 1024 * 1024
@@ -27,6 +31,8 @@ DEFAULT_ACCESS_LATENCY_US = 0.1
 #: Sustained transfer bandwidth of the memory interface, in bytes per
 #: microsecond (~1 Gbyte/s shared across the 20 cores of a node).
 DEFAULT_BANDWIDTH_BYTES_PER_US = 1000.0
+#: Words per backing page (64 Kbyte pages).
+PAGE_WORDS = 1 << 14
 
 
 class SDRAMAllocationError(Exception):
@@ -59,7 +65,9 @@ class SDRAM:
     bandwidth_bytes_per_us: float = DEFAULT_BANDWIDTH_BYTES_PER_US
     _next_free: int = 0
     _regions: List[SDRAMRegion] = field(default_factory=list)
-    _store: Dict[int, int] = field(default_factory=dict)
+    #: Page index -> ``PAGE_WORDS`` words; unwritten pages read as zero.
+    _pages: Dict[int, np.ndarray] = field(default_factory=dict, repr=False,
+                                          compare=False)
     _busy_until: float = 0.0
     total_bytes_read: int = 0
     total_bytes_written: int = 0
@@ -97,7 +105,7 @@ class SDRAM:
 
         The bump allocator only reclaims address space when the freed
         region is the most recent allocation; interior regions are
-        forgotten (their words are dropped and the region no longer shows
+        forgotten (their words are zeroed and the region no longer shows
         up in :attr:`regions`) but their addresses are not reused.  This
         matches the real machine's load-time layout discipline while
         letting the incremental mapping compiler drop the synaptic blocks
@@ -108,8 +116,11 @@ class SDRAM:
         except ValueError:
             raise ValueError("region %r was not allocated from this SDRAM"
                              % (region,))
-        for address in range(region.base, region.end, 4):
-            self._store.pop(address, None)
+        for page, start, count, _offset in self._spans(region.base,
+                                                       region.size // 4):
+            store = self._pages.get(page)
+            if store is not None:
+                store[start:start + count] = 0
         if region.end == self._next_free:
             self._next_free = region.base
 
@@ -136,43 +147,93 @@ class SDRAM:
         return None
 
     # ------------------------------------------------------------------
-    # Data access (word granularity)
+    # Data access
     # ------------------------------------------------------------------
     def write_word(self, address: int, value: int) -> None:
         """Write a 32-bit word at a byte address (must be word-aligned)."""
         self._check_address(address)
-        self._store[address] = value & 0xFFFFFFFF
+        page, index = divmod(address >> 2, PAGE_WORDS)
+        self._page(page)[index] = value & 0xFFFFFFFF
         self.total_bytes_written += 4
 
     def read_word(self, address: int) -> int:
         """Read a 32-bit word; unwritten locations read as zero."""
         self._check_address(address)
         self.total_bytes_read += 4
-        return self._store.get(address, 0)
+        page, index = divmod(address >> 2, PAGE_WORDS)
+        store = self._pages.get(page)
+        return 0 if store is None else int(store[index])
 
-    def write_block(self, address: int, words: List[int]) -> None:
-        """Write a block of consecutive 32-bit words starting at ``address``."""
-        for offset, word in enumerate(words):
-            self.write_word(address + 4 * offset, word)
+    def write_block(self, address: int, words) -> None:
+        """Write consecutive 32-bit words starting at ``address``.
+
+        ``words`` is a sequence of ints or an integer array of any shape
+        (written in C order); each word keeps its low 32 bits.  A block
+        that does not fit the SDRAM raises before any word is written.
+        """
+        block = np.asarray(words)
+        if block.dtype != np.uint32:
+            block = (block.astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
+        block = block.reshape(-1)
+        for page, start, count, offset in self._spans(address, block.size):
+            self._page(page)[start:start + count] = \
+                block[offset:offset + count]
+        self.total_bytes_written += 4 * block.size
 
     def read_block(self, address: int, n_words: int) -> List[int]:
         """Read ``n_words`` consecutive 32-bit words starting at ``address``."""
-        return [self.read_word(address + 4 * i) for i in range(n_words)]
+        words = self.peek_block(address, n_words).tolist()
+        self.total_bytes_read += 4 * n_words
+        return words
 
-    def peek_block(self, address: int, n_words: int) -> List[int]:
-        """Read a block *without* charging the traffic counters.
+    def peek_block(self, address: int, n_words: int) -> np.ndarray:
+        """Read a block as a ``uint32`` array *without* charging the
+        traffic counters.
 
         For tooling that inspects memory outside the simulated dataflow —
         e.g. the transport fabric decoding synaptic blocks at compile
         time — so ``total_bytes_read`` keeps meaning "bytes the simulated
         machine moved".
         """
-        words = []
-        for i in range(n_words):
-            word_address = address + 4 * i
-            self._check_address(word_address)
-            words.append(self._store.get(word_address, 0))
+        words = np.zeros(n_words, dtype=np.uint32)
+        for page, start, count, offset in self._spans(address, n_words):
+            store = self._pages.get(page)
+            if store is not None:
+                words[offset:offset + count] = store[start:start + count]
         return words
+
+    def _page(self, page: int) -> np.ndarray:
+        """The backing page ``page``, created zeroed on first use."""
+        store = self._pages.get(page)
+        if store is None:
+            store = np.zeros(PAGE_WORDS, dtype=np.uint32)
+            self._pages[page] = store
+        return store
+
+    def _spans(self, address: int,
+               n_words: int) -> Iterator[Tuple[int, int, int, int]]:
+        """Validate a block and split it into per-page pieces.
+
+        Yields ``(page, first word in page, word count, offset into the
+        block)``.  An empty block is valid at any address.
+        """
+        if n_words < 0:
+            raise ValueError("block length must be non-negative, got %d"
+                             % (n_words,))
+        if n_words == 0:
+            return
+        self._check_address(address)
+        if address + 4 * n_words > self.size_bytes:
+            raise ValueError("block of %d words at 0x%x runs past the end "
+                             "of the %d-byte SDRAM"
+                             % (n_words, address, self.size_bytes))
+        word = address >> 2
+        offset = 0
+        while offset < n_words:
+            page, start = divmod(word + offset, PAGE_WORDS)
+            count = min(PAGE_WORDS - start, n_words - offset)
+            yield page, start, count, offset
+            offset += count
 
     def _check_address(self, address: int) -> None:
         if address % 4 != 0:

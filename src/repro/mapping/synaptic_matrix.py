@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 
 from repro.core.machine import SpiNNakerMachine
 from repro.mapping.keys import KeyAllocator, KeySpace
@@ -108,42 +109,44 @@ class CoreSynapticData:
     regions: List = field(default_factory=list)
 
 
-def pack_block(block: "CSRMatrix"):
-    """Pack one (source vertex -> destination core) CSR block.
-
-    Returns ``(packed_rows, row_lengths, stride_words, n_synapses)`` —
-    the placement-independent artifact the mapping compiler caches: a
-    re-map that moves vertices around reuses these words verbatim, only
-    the SDRAM addresses and population-table records are rebuilt.
-    """
-    packed_rows = block.pack_rows()
-    row_lengths = block.row_lengths()
-    stride = max(len(words) for words in packed_rows)
-    return packed_rows, row_lengths, stride, block.n_synapses
-
-
 def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
-                       source_vertex: Vertex, packed_rows, row_lengths,
-                       stride: int) -> None:
+                       source_vertex: Vertex, block: np.ndarray) -> None:
     """Write one packed block into ``chip``'s SDRAM and index it.
 
-    The rows are padded to the fixed ``stride`` so the packet handler can
+    ``block`` is :meth:`CSRMatrix.pack_block`'s ``(n_rows, stride)``
+    array: rows padded to the fixed stride, so the packet handler can
     compute a row address directly from the neuron index, exactly as the
-    real master population table does.
+    real master population table does.  The packed words depend only on
+    the connectivity, never on the placement, which is why the mapping
+    compiler caches them across re-maps.
     """
+    n_rows, stride = block.shape
     region = chip.sdram.allocate(
-        4 * stride * len(packed_rows),
+        4 * block.size,
         tag="synapses:%s->%s" % (source_vertex, data.vertex))
-    for row_index, words in enumerate(packed_rows):
-        words = words + [0] * (stride - len(words))
-        chip.sdram.write_block(region.base + 4 * row_index * stride, words)
-        data.total_synapses += int(row_lengths[row_index])
-    data.total_sdram_words += stride * len(packed_rows)
+    chip.sdram.write_block(region.base, block)
+    data.total_synapses += int(block[:, 0].sum())
+    data.total_sdram_words += block.size
     data.regions.append(region)
     data.population_table.add(PopulationTableEntry(
         key=space.base_key, mask=space.mask,
         sdram_address=region.base, row_stride_words=stride,
-        n_rows=len(packed_rows)))
+        n_rows=n_rows))
+
+
+def decode_block(sdram, entry: PopulationTableEntry,
+                 n_post: int) -> CSRMatrix:
+    """Decode the synaptic block a population-table entry points at.
+
+    One counter-neutral :meth:`SDRAM.peek_block` of the whole block —
+    compile-time decoding must not inflate the simulated SDRAM traffic —
+    viewed as ``(n_rows, stride)`` and unpacked by
+    :meth:`CSRMatrix.from_packed_block`.
+    """
+    words = sdram.peek_block(entry.sdram_address,
+                             entry.n_rows * entry.row_stride_words)
+    return CSRMatrix.from_packed_block(
+        words.reshape(entry.n_rows, entry.row_stride_words), n_post)
 
 
 class SynapticMatrixBuilder:
@@ -202,9 +205,7 @@ class SynapticMatrixBuilder:
 
         ``block`` is the projection submatrix restricted to this source
         vertex's neurons and the destination core's local targets; its
-        packed rows are byte-identical to the old per-``SynapticRow``
-        construction.
+        packed rows are byte-identical to a per-``SynapticRow`` packing.
         """
-        packed_rows, row_lengths, stride, _ = pack_block(block)
         write_packed_block(chip, data, self.keys.key_space(source_vertex),
-                           source_vertex, packed_rows, row_lengths, stride)
+                           source_vertex, block.pack_block())

@@ -274,37 +274,47 @@ class CSRMatrix:
                          self.weights[lo:hi][keep],
                          self.delay_ticks[lo:hi][keep])
 
-    def pack_rows(self) -> List[List[int]]:
-        """Pack every row for SDRAM: ``[count, word, word, ...]`` per row.
+    def pack_block(self) -> np.ndarray:
+        """Pack every row for SDRAM as one ``(n_pre, stride)`` block.
 
-        Row ``i`` of the result equals ``SynapticRow(i, rows[i]).pack()``.
+        Row ``i`` is ``SynapticRow(i, rows[i]).pack()`` — a count header
+        and one synaptic word per synapse — zero-padded to the common
+        stride (one header word plus the longest row), so a row's
+        address follows from its index alone.
         """
-        words = pack_synapse_words(self.targets, self.weights,
-                                   self.delay_ticks)
-        packed: List[List[int]] = []
-        for pre in range(self.n_pre):
-            lo, hi = int(self.row_ptr[pre]), int(self.row_ptr[pre + 1])
-            packed.append([hi - lo] + [int(w) for w in words[lo:hi]])
-        return packed
+        lengths = self.row_lengths()
+        stride = 1 + int(lengths.max())
+        block = np.zeros((self.n_pre, stride), dtype=np.uint32)
+        block[:, 0] = lengths
+        columns = (np.arange(self.n_synapses, dtype=np.int64)
+                   - self.row_ptr[self.pre_index] + 1)
+        block[self.pre_index, columns] = pack_synapse_words(
+            self.targets, self.weights, self.delay_ticks)
+        return block
 
     @classmethod
-    def from_packed_rows(cls, packed: Sequence[Sequence[int]],
-                         n_post: int) -> "CSRMatrix":
-        """Rebuild a matrix from per-row packed SDRAM words (with padding)."""
-        counts = np.zeros(len(packed) + 1, dtype=np.int64)
-        targets_parts, weights_parts, delays_parts = [], [], []
-        for pre, words in enumerate(packed):
-            count, targets, weights, delays = decode_packed_row(words)
-            counts[pre + 1] = count
-            targets_parts.append(targets)
-            weights_parts.append(weights)
-            delays_parts.append(delays)
-        row_ptr = np.cumsum(counts)
-        empty = np.empty(0, dtype=np.int64)
-        return cls(len(packed), n_post, row_ptr,
-                   np.concatenate(targets_parts) if targets_parts else empty,
-                   np.concatenate(weights_parts) if weights_parts else empty,
-                   np.concatenate(delays_parts) if delays_parts else empty)
+    def from_packed_block(cls, block: np.ndarray,
+                          n_post: int) -> "CSRMatrix":
+        """Rebuild a matrix from an ``(n_rows, stride)`` packed SDRAM block.
+
+        The inverse of :meth:`pack_block` up to fixed-point weight
+        quantisation, with :func:`decode_packed_row`'s header validation
+        applied to every row at once.
+        """
+        block = np.asarray(block, dtype=np.uint32)
+        counts = block[:, 0].astype(np.int64)
+        stride = block.shape[1]
+        if counts.size and counts.max() > stride - 1:
+            raise ValueError("row header claims %d synapses but only %d "
+                             "words follow" % (counts.max(), stride - 1))
+        present = (np.arange(stride - 1, dtype=np.int64)[None, :]
+                   < counts[:, None])
+        targets, weights, delay_ticks = unpack_synapse_words(
+            block[:, 1:][present])
+        row_ptr = np.zeros(block.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=row_ptr[1:])
+        return cls(block.shape[0], n_post, row_ptr, targets, weights,
+                   delay_ticks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRMatrix(%d pre, %d post, %d synapses)" % (

@@ -49,17 +49,21 @@ def expand_projections(network: "Network", seed: Optional[int],
     seed has exactly one expansion (cached on the projections) however
     many layers consume it and in whatever order.
 
-    Returns ``[(index, projection, rows, csr-or-None)]`` with projections
-    in network order; ``compile_csr`` additionally compiles each
-    expansion to its flat CSR form.
+    Returns ``[(index, projection, rows, csr)]`` with projections in
+    network order.  With ``compile_csr`` each entry carries the CSR
+    matrix and ``rows`` is ``None`` — no ``Synapse`` object is created;
+    otherwise it carries the per-source ``Synapse`` rows and ``csr`` is
+    ``None``.
     """
     expanded = []
     for index, projection in enumerate(network.projections):
         rng = expansion_rng(seed, index)
-        rows = projection.build_rows(rng, seed=seed)
-        csr = (projection.compile_csr(rng, seed=seed)
-               if compile_csr else None)
-        expanded.append((index, projection, rows, csr))
+        if compile_csr:
+            expanded.append((index, projection, None,
+                             projection.compile_csr(rng, seed=seed)))
+        else:
+            expanded.append((index, projection,
+                             projection.build_rows(rng, seed=seed), None))
     return expanded
 
 
@@ -302,16 +306,16 @@ class Network:
                                 projection.plasticity.update(
                                     rows, pre_spikes, post_spikes, time_ms)
 
-        # Commit plasticity-modified CSR weights back into the cached rows
-        # so the object view (mapping layer, post-run inspection) agrees —
-        # the host-side analogue of the SDRAM write-back DMA (Section 5.3).
+        # Commit plasticity-modified CSR weights into any derived object
+        # rows so the object view (post-run inspection) agrees — the
+        # host-side analogue of the SDRAM write-back DMA (Section 5.3).
         # A reference-mode run mutates the rows directly instead, so any
         # previously compiled CSR for this seed is now stale.
-        for projection, rows, csr in rows_by_projection:
+        for projection, _rows, csr in rows_by_projection:
             if projection.plasticity is None:
                 continue
             if csr is not None:
-                csr.write_back(rows)
+                projection.sync_rows(seed=effective_seed)
             else:
                 projection.invalidate_csr(seed=effective_seed)
 

@@ -234,6 +234,10 @@ class Projection:
     ``seed=A`` and then ``seed=B`` builds two independent connectivities
     instead of silently reusing the first seed's synapses (the old unkeyed
     cache poisoned every cross-seed comparison).
+
+    The cached artifact is the expansion's :class:`CSRMatrix`; the
+    per-source ``Synapse`` rows of the object-based reference paths are
+    derived from it on first request only.
     """
 
     pre: Population
@@ -242,68 +246,96 @@ class Projection:
     label: Optional[str] = None
     #: Optional plasticity mechanism (see :mod:`repro.neuron.stdp`).
     plasticity: Optional[object] = None
-    #: Per-seed expansion cache; the compiled CSR form is cached alongside.
-    _rows_cache: Dict[object, Dict[int, List[Synapse]]] = field(
+    #: Per-seed expansion cache.  A ``None`` entry marks a CSR made stale
+    #: by in-place edits of the seed's object rows (:meth:`invalidate_csr`).
+    _csr_cache: Dict[object, Optional[CSRMatrix]] = field(
         default_factory=dict, repr=False, compare=False)
-    _csr_cache: Dict[object, tuple] = field(
+    #: Per-seed object rows, derived from the CSR on demand.
+    _rows_cache: Dict[object, Dict[int, List[Synapse]]] = field(
         default_factory=dict, repr=False, compare=False)
     _latest_key: object = field(default=None, repr=False, compare=False)
 
-    def build_rows(self, rng: np.random.Generator, refresh: bool = False,
-                   seed: object = LATEST_EXPANSION) -> Dict[int, List[Synapse]]:
-        """Expand the connector into per-source synapse lists (cached per seed).
+    def _expand(self, rng: np.random.Generator, refresh: bool,
+                seed: object) -> object:
+        """Expand the connector for ``seed`` unless cached; return its key."""
+        key = seed
+        if key is LATEST_EXPANSION:
+            if self._csr_cache and not refresh:
+                return self._latest_key
+            # A refresh without a seed is an explicitly unseeded rebuild;
+            # it must not overwrite a seed-keyed entry with connectivity
+            # drawn from an arbitrary generator.
+            key = None
+        if refresh or key not in self._csr_cache:
+            self._csr_cache[key] = self.connector.build_csr(
+                self.pre.size, self.post.size, rng)
+            self._rows_cache.pop(key, None)
+        self._latest_key = key
+        return key
+
+    def compile_csr(self, rng: np.random.Generator,
+                    seed: object = LATEST_EXPANSION) -> CSRMatrix:
+        """The expansion's CSR form, built once per seed.
 
         ``seed`` is the cache key.  Callers passing a real seed MUST derive
         ``rng`` from :func:`expansion_rng` with that seed and this
         projection's index in its network — the cache trusts the pairing,
         and a mismatched generator would register wrong connectivity for
         every later consumer of that seed.  Passing
-        :data:`LATEST_EXPANSION` (the default) returns the most recent
+        :data:`LATEST_EXPANSION` (the default) selects the most recent
         expansion regardless of its seed — the legacy behaviour callers
         without a seed in hand rely on — or builds an unseeded expansion
         when nothing is cached yet.
-        """
-        key = seed
-        if key is LATEST_EXPANSION:
-            if self._rows_cache and not refresh:
-                return self._rows_cache[self._latest_key]
-            # A refresh without a seed is an explicitly unseeded rebuild;
-            # it must not overwrite a seed-keyed entry with connectivity
-            # drawn from an arbitrary generator.
-            key = None
-        if refresh or key not in self._rows_cache:
-            self._rows_cache[key] = self.connector.build(self.pre.size,
-                                                         self.post.size, rng)
-            self._csr_cache.pop(key, None)
-        self._latest_key = key
-        return self._rows_cache[key]
 
-    def compile_csr(self, rng: np.random.Generator,
-                    seed: object = LATEST_EXPANSION) -> CSRMatrix:
-        """Compile the (cached) expansion into its CSR form, once per seed.
-
-        The returned matrix shares the cache entry's lifetime: plasticity
-        mutates its weight array in place, and the caller is expected to
-        :meth:`CSRMatrix.write_back` into the rows so both views agree.
+        Plasticity mutates the returned weight array in place;
+        :meth:`sync_rows` carries such edits into derived object rows.
         """
-        rows = self.build_rows(rng, seed=seed)
-        key = self._latest_key
-        cached = self._csr_cache.get(key)
-        if cached is None or cached[0] is not rows:
-            cached = (rows, CSRMatrix.from_rows(rows, self.pre.size,
-                                                self.post.size))
-            self._csr_cache[key] = cached
-        return cached[1]
+        key = self._expand(rng, False, seed)
+        csr = self._csr_cache[key]
+        if csr is None:
+            csr = CSRMatrix.from_rows(self._rows_cache[key], self.pre.size,
+                                      self.post.size)
+            self._csr_cache[key] = csr
+        return csr
+
+    def build_rows(self, rng: np.random.Generator, refresh: bool = False,
+                   seed: object = LATEST_EXPANSION) -> Dict[int, List[Synapse]]:
+        """The expansion as per-source synapse lists (cached per seed).
+
+        Derived from :meth:`compile_csr`'s matrix on first request (same
+        ``rng``/``seed`` pairing rule); every source index has a (possibly
+        empty) row.  ``refresh`` re-expands the connector.
+        """
+        key = self._expand(rng, refresh, seed)
+        rows = self._rows_cache.get(key)
+        if rows is None:
+            rows = self._csr_cache[key].to_rows()
+            self._rows_cache[key] = rows
+        return rows
 
     def invalidate_csr(self, seed: object = LATEST_EXPANSION) -> None:
-        """Drop the compiled CSR for a seed after its rows were mutated.
+        """Mark a seed's CSR stale after its object rows were mutated.
 
         Callers that modify the ``Synapse`` objects of an expansion in
-        place (the object-based STDP path) must invalidate, or a later
-        :meth:`compile_csr` would hand back pre-mutation weights.
+        place (the object-based STDP path) must invalidate, so the next
+        :meth:`compile_csr` recompiles from the edited rows instead of
+        handing back pre-mutation weights.
         """
         key = self._latest_key if seed is LATEST_EXPANSION else seed
-        self._csr_cache.pop(key, None)
+        if key in self._rows_cache:
+            self._csr_cache[key] = None
+
+    def sync_rows(self, seed: object = LATEST_EXPANSION) -> None:
+        """Commit in-place CSR weight edits into the seed's object rows.
+
+        The host-side analogue of the SDRAM write-back DMA (Section 5.3);
+        a no-op when no object rows were derived for the seed.
+        """
+        key = self._latest_key if seed is LATEST_EXPANSION else seed
+        rows = self._rows_cache.get(key)
+        csr = self._csr_cache.get(key)
+        if rows is not None and csr is not None:
+            csr.write_back(rows)
 
     def synaptic_rows(self, rng: np.random.Generator,
                       seed: object = LATEST_EXPANSION) -> Dict[int, SynapticRow]:
@@ -315,12 +347,9 @@ class Projection:
     def n_synapses(self, rng: np.random.Generator,
                    seed: object = LATEST_EXPANSION) -> int:
         """Total number of synapses in the projection."""
-        return sum(len(synapses)
-                   for synapses in self.build_rows(rng, seed=seed).values())
+        return self.compile_csr(rng, seed=seed).n_synapses
 
     def max_delay(self, rng: np.random.Generator,
                   seed: object = LATEST_EXPANSION) -> int:
         """Largest programmable delay used by the projection."""
-        rows = self.build_rows(rng, seed=seed)
-        return max((s.delay_ticks for synapses in rows.values()
-                    for s in synapses), default=0)
+        return self.compile_csr(rng, seed=seed).max_delay()

@@ -37,7 +37,7 @@ from repro.core.packets import MulticastPacket
 from repro.core.processor import ProcessorSubsystem
 from repro.mapping.keys import KeyAllocator, KeySpace
 from repro.mapping.placement import Placement, Vertex
-from repro.mapping.synaptic_matrix import CoreSynapticData
+from repro.mapping.synaptic_matrix import CoreSynapticData, decode_block
 from repro.neuron.engine import CSRMatrix, decode_packed_row
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
 from repro.neuron.network import Network
@@ -688,13 +688,11 @@ class NeuralApplication:
                                    latency_us=latency, distance=distance,
                                    stride_words=0)
         stride = entry.row_stride_words
-        # peek_block: compile-time decoding must not inflate the SDRAM
-        # traffic counters — _fabric_deliver charges the simulated reads.
-        packed = [chip.sdram.peek_block(
-            entry.sdram_address + 4 * row * stride, stride)
-            for row in range(entry.n_rows)]
-        csr = CSRMatrix.from_packed_rows(packed,
-                                         n_post=destination.vertex.n_neurons)
+        # decode_block peeks: compile-time decoding must not inflate the
+        # SDRAM traffic counters — _fabric_deliver charges the simulated
+        # reads.
+        csr = decode_block(chip.sdram, entry,
+                           n_post=destination.vertex.n_neurons)
         # Nominal per-packet core-side costs the event path pays between
         # arrival and the deferred-event scatter.
         processing = (clock.cycles_to_microseconds(costs.packet_received_cycles)

@@ -102,6 +102,21 @@ class TestCompareBench:
         assert by_name["stage_overhead_ratio"].status == REGRESSED
         assert by_name["speedup_bound"].status == REGRESSED
 
+    def test_prepare_to_sim_ratio_is_gated_lower_is_better(self):
+        baseline = {"speedup_bound": 4.0, "prepare_to_sim_ratio": 0.5}
+
+        def status(ratio):
+            deviations = compare_bench(
+                "e19", baseline,
+                {"speedup_bound": 4.0, "prepare_to_sim_ratio": ratio})
+            return {d.metric: d for d in deviations}[
+                "prepare_to_sim_ratio"].status
+
+        # Host spread passes; a compile path 60 % slower regresses.
+        assert status(0.62) == OK
+        assert status(0.8) == REGRESSED
+        assert status(0.2) == IMPROVED
+
 
 class TestRunGateAndMain:
     def _seed(self, baseline_dir, current_dir, current_speedup):

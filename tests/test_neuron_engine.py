@@ -154,22 +154,35 @@ class TestPackedWordCodec:
             CSRMatrix(1, 4, np.array([0, 1]), np.array([0]),
                       np.array([1.0]), np.array([0]))
 
-    def test_pack_rows_matches_synaptic_row_pack(self, rng):
+    def test_pack_block_matches_synaptic_row_pack(self, rng):
         rows = random_rows(rng, n_pre=8, n_post=12)
         csr = CSRMatrix.from_rows(rows, 8, 12)
-        packed = csr.pack_rows()
+        block = csr.pack_block()
+        assert block.dtype == np.uint32
+        assert block.shape == (8, 1 + max(len(r) for r in rows.values()))
         for pre in range(8):
-            assert packed[pre] == SynapticRow(pre, rows.get(pre, ())).pack()
+            words = SynapticRow(pre, rows.get(pre, ())).pack()
+            # Each row is the SynapticRow packing, zero-padded to the stride.
+            assert block[pre].tolist() == \
+                words + [0] * (block.shape[1] - len(words))
 
-    def test_packed_rows_round_trip_with_padding(self, rng):
+    def test_packed_block_round_trip_with_padding(self, rng):
         rows = random_rows(rng, n_pre=8, n_post=12)
         csr = CSRMatrix.from_rows(rows, 8, 12)
-        packed = [words + [0, 0] for words in csr.pack_rows()]  # SDRAM pad
-        recovered = CSRMatrix.from_packed_rows(packed, 12)
+        block = np.pad(csr.pack_block(), ((0, 0), (0, 2)))  # wider stride
+        recovered = CSRMatrix.from_packed_block(block, 12)
+        assert np.array_equal(recovered.row_ptr, csr.row_ptr)
         assert np.array_equal(recovered.targets, csr.targets)
         assert np.array_equal(recovered.delay_ticks, csr.delay_ticks)
+        for name in ("row_ptr", "targets", "weights", "delay_ticks"):
+            assert getattr(recovered, name).dtype == getattr(csr, name).dtype
         # Weights go through fixed-point quantisation.
         assert np.all(np.abs(recovered.weights - csr.weights) <= 1.0 / 16 + 1e-9)
+
+    def test_packed_block_rejects_overlong_header(self):
+        block = np.array([[5, 0], [0, 0]], dtype=np.uint32)
+        with pytest.raises(ValueError):
+            CSRMatrix.from_packed_block(block, 4)
 
     def test_decode_packed_row_validation(self):
         with pytest.raises(ValueError):
@@ -527,3 +540,81 @@ class TestSeedKeyedExpansionCache:
         assert [s.weight for i in sorted(rows) for s in rows[i]] == \
             list(fresh.weights)
 
+
+
+class TestCsrIsThePrimaryExpansion:
+    """The compile path and the counts never build ``Synapse`` objects."""
+
+    @staticmethod
+    def count_synapses(monkeypatch):
+        created = []
+        original = Synapse.__post_init__
+
+        def counting(synapse):
+            created.append(synapse)
+            original(synapse)
+
+        monkeypatch.setattr(Synapse, "__post_init__", counting)
+        return created
+
+    @staticmethod
+    def build_network():
+        network = Network(seed=21)
+        stimulus = SpikeSourcePoisson(30, rate_hz=50.0, label="prim-stim")
+        target = Population(40, "lif", label="prim-tgt")
+        network.connect(stimulus, target, FixedProbabilityConnector(
+            0.3, weight=1.0, delay_range=(1, 12)))
+        network.connect(target, target, FixedProbabilityConnector(
+            0.1, weight=0.5, delay_range=(2, 16)))
+        return network
+
+    def test_compile_and_counts_create_no_synapse(self, monkeypatch):
+        from repro.compile import MappingPipeline
+
+        created = self.count_synapses(monkeypatch)
+        network = self.build_network()
+        machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
+                                                 cores_per_chip=6))
+        BootController(machine, seed=1).boot()
+        pipeline = MappingPipeline(machine, network, seed=21,
+                                   max_neurons_per_core=16,
+                                   compile_transport=True,
+                                   shard_by_board=True)
+        pipeline.run()
+        assert network.n_synapses() > 0
+        assert all(projection.max_delay(np.random.default_rng(0)) > 0
+                   for projection in network.projections)
+        assert created == []
+        assert all(not projection._rows_cache
+                   for projection in network.projections)
+
+    def test_expand_stage_nests_under_route(self):
+        from repro.compile import MappingPipeline
+
+        machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
+                                                 cores_per_chip=6))
+        BootController(machine, seed=1).boot()
+        pipeline = MappingPipeline(machine, self.build_network(), seed=21,
+                                   max_neurons_per_core=16)
+        pipeline.run()
+        records = {record.path: record
+                   for record in pipeline.profile.records()}
+        expand = records[("pass_total", "route", "expand")]
+        route = records[("pass_total", "route")]
+        assert expand.calls == 1
+        assert route.self_s == pytest.approx(route.cum_s - expand.cum_s)
+        # A cached expansion is not re-entered on a re-run.
+        pipeline.run()
+        assert expand.calls == 1
+
+    def test_rows_are_derived_lazily_and_synced(self):
+        network = self.build_network()
+        projection = network.projections[0]
+        rng = np.random.default_rng(0)   # cache hits after the first call
+        csr = projection.compile_csr(rng, seed=21)
+        assert not projection._rows_cache
+        rows = projection.build_rows(rng, seed=21)
+        assert CSRMatrix.from_rows(rows, 30, 40).n_synapses == csr.n_synapses
+        csr.weights[:] = 0.25
+        projection.sync_rows(seed=21)
+        assert {s.weight for row in rows.values() for s in row} == {0.25}
